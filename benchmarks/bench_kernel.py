@@ -149,9 +149,18 @@ def _legacy_compute_followers(
     candidate_filter=None,
     candidate_filter_ids=None,
 ):
-    """Dispatch to the seed follower implementations (tuple filters only)."""
+    """Dispatch to the seed follower implementations (tuple filters only).
+
+    Both dense-id spellings are converted to a tuple filter: an id set, and
+    the ``(node_of_eid, node_ids)`` membership pair the GAS loop passes.
+    """
     if candidate_filter_ids is not None:
         edge_of = state.index.edge_of
+        if isinstance(candidate_filter_ids, tuple):
+            node_of_eid, node_ids = candidate_filter_ids
+            candidate_filter_ids = [
+                eid for eid, node_id in enumerate(node_of_eid) if node_id in node_ids
+            ]
         candidate_filter = {edge_of[eid] for eid in candidate_filter_ids}
     method = FollowerMethod(method)
     if method is FollowerMethod.PEEL:

@@ -9,7 +9,8 @@ environment variable:
 * ``paper``  — the paper's original parameters (not practical in pure Python).
 
 Each benchmark prints the rendered table/series and also writes it to
-``benchmarks/output/<name>.txt`` so the artefacts survive the run.
+``<name>.txt`` under pytest's temporary directory, so a test run leaves the
+tracked reference renderings in ``benchmarks/output/`` untouched.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import get_profile
-
-OUTPUT_DIR = Path(__file__).parent / "output"
 
 try:  # pragma: no cover - exercised only when the plugin is installed
     import pytest_benchmark  # noqa: F401
@@ -80,12 +79,12 @@ def profile():
 
 
 @pytest.fixture(scope="session")
-def record_artifact():
+def record_artifact(tmp_path_factory):
     """Return a callable that persists a rendered experiment artefact."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
+    output_dir = tmp_path_factory.mktemp("output")
 
     def _record(name: str, text: str) -> None:
-        (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        (output_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n")
 
     return _record

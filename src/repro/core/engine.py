@@ -47,7 +47,9 @@ decomposition in a bounded region:
 When the dirty closure exceeds ``full_peel_threshold * m`` edges the engine
 falls back to a full peel — the incremental path is an optimisation, never a
 semantic fork, and the test-suite asserts both produce identical
-decompositions on randomized anchored graphs.
+decompositions on randomized anchored graphs.  Either path records the same
+:class:`CommitDelta` (the full peel by diffing the dense arrays), so the
+component tree is patched after every commit, never rebuilt.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ _INF = math.inf
 class CommitDelta:
     """Everything an incremental re-peel learned about one committed anchor.
 
-    Recorded by :meth:`SolverEngine._advance` whenever the incremental path
-    ran (the full-peel fallback records ``None`` instead) and consumed by
-    the incremental component-tree patch
+    Recorded by :meth:`SolverEngine._advance` for every commit — the
+    incremental path knows it from the re-peel, the full-peel fallback
+    diffs the new dense arrays against the old ones — and consumed by the
+    incremental component-tree patch
     (:meth:`~repro.core.component_tree.TrussComponentTree.apply_commit`):
 
     * ``anchor_eid`` — dense id of the committed anchor;
@@ -339,10 +342,10 @@ class SolverEngine:
         self._materialized_count = 0
         self._tree: Optional[TrussComponentTree] = None
         self._tree_state: Optional[TrussState] = None
-        # Per-commit deltas recorded by the incremental re-peel (None for
-        # full-peel fallbacks), aligned with the materialised chain; the
-        # component tree consumes them from _tree_commit_index onwards.
-        self._deltas: List[Optional[CommitDelta]] = []
+        # Per-commit deltas recorded by _advance, aligned with the
+        # materialised chain; the component tree consumes them from
+        # _tree_commit_index onwards.
+        self._deltas: List[CommitDelta] = []
         self._tree_commit_index = 0
         # Invalidation log since the last take_reuse_decision() call:
         # ("patch", TreePatchInfo, CommitDelta) per patched commit,
@@ -500,11 +503,12 @@ class SolverEngine:
         With ``tree_mode="patch"`` (the default) an existing tree is advanced
         **incrementally**: each commit's :class:`CommitDelta` is applied via
         :meth:`TrussComponentTree.apply_commit`, touching only the nodes whose
-        trussness levels changed.  The tree is rebuilt from scratch only when
-        a commit fell back to a full peel (no delta available), when no tree
-        exists yet, or with ``tree_mode="rebuild"`` (the PR 2 reference
-        behaviour).  Every absorbed commit is logged so
-        :meth:`take_reuse_decision` can report the exact invalidation.
+        trussness levels changed — after a full-peel fallback too, whose
+        delta is a diff of the dense arrays.  The tree is built from scratch
+        only when no tree exists yet, or on every state with
+        ``tree_mode="rebuild"`` (the reference behaviour).  Every absorbed
+        commit is logged so :meth:`take_reuse_decision` can report the exact
+        invalidation.
         """
         state = self.state
         if self._tree is not None and self._tree_state is state:
@@ -514,14 +518,10 @@ class SolverEngine:
             self.tree_mode == "patch"
             and tree is not None
             and self._tree_commit_index < self._materialized_count
-            and all(
-                self._deltas[i] is not None
-                for i in range(self._tree_commit_index, self._materialized_count)
-            )
         ):
             while self._tree_commit_index < self._materialized_count:
                 delta = self._deltas[self._tree_commit_index]
-                assert delta is not None and delta.state_after is not None
+                assert delta.state_after is not None
                 info = tree.apply_commit(delta, delta.state_after)
                 self.stats["tree_patches"] += 1
                 self._invalidation_log.append(("patch", info, delta))
@@ -546,8 +546,7 @@ class SolverEngine:
         self._tree_state = state
         self._tree_commit_index = self._materialized_count
         for delta in self._deltas:
-            if delta is not None:
-                delta.state_after = None
+            delta.state_after = None
         return self._tree
 
     def take_reuse_decision(
@@ -561,10 +560,10 @@ class SolverEngine:
           decision is assembled from the patch bookkeeping alone — no
           before/after tree diff, no full scan — and ``dirty_eids`` narrows
           the candidates the GAS heap must re-examine to the dirty closure;
-        * if the tree was rebuilt (full-peel fallback or
-          ``tree_mode="rebuild"``), the decision comes from the classic
-          before/after diff (:func:`compute_reuse_decision`) and
-          ``dirty_eids`` is ``None`` (re-examine everything);
+        * if the tree was rebuilt (``tree_mode="rebuild"``), the decision
+          comes from the classic before/after diff
+          (:func:`compute_reuse_decision`) and ``dirty_eids`` is ``None``
+          (re-examine everything);
         * returns ``None`` when no information is available (no commit since
           the last call, or several mixed commits at once) — callers must
           then treat every cached entry as invalid.
@@ -621,11 +620,23 @@ class SolverEngine:
         dirty = _dirty_closure(index, truss, eid, self.full_peel_threshold * m)
         if dirty is None:
             self.stats["full_peels"] += 1
-            self._deltas.append(None)
             with _span("engine.full_peel", edges=m):
-                return TrussState.compute(
+                new_state = TrussState.compute(
                     self.graph, set(state.anchors) | {new_anchor}
                 )
+            # Diff the dense arrays for the delta (followers: non-anchor
+            # edges whose trussness moved; anchors hold inf on both sides),
+            # so the tree is patched after a full peel as after an
+            # incremental one.
+            _index, new_truss, new_layer, _new_mask = new_state.kernel_views()
+            followers = [
+                e2 for e2 in range(m) if truss[e2] != new_truss[e2] != _INF
+            ]
+            changed = {e2 for e2 in range(m) if new_layer[e2] != layer[e2]}
+            changed.update(followers)
+            changed.add(eid)
+            self._record_delta(eid, followers, changed, new_state)
+            return new_state
         self.stats["dirty_edges"] += len(dirty)
         self.stats["incremental_peels"] += 1
 
@@ -709,9 +720,19 @@ class SolverEngine:
             for e2 in members:
                 if new_layer[e2] != layer[e2] or new_truss[e2] != truss[e2]:
                     changed.add(e2)
+        self._record_delta(eid, followers, changed, new_state)
+        return new_state
+
+    def _record_delta(
+        self,
+        anchor_eid: int,
+        followers: Iterable[int],
+        changed: Set[int],
+        new_state: TrussState,
+    ) -> None:
         self._deltas.append(
             CommitDelta(
-                anchor_eid=eid,
+                anchor_eid=anchor_eid,
                 follower_eids=tuple(sorted(followers)),
                 changed_eids=frozenset(changed),
                 # The chained state is only kept while a tree exists to
@@ -720,7 +741,6 @@ class SolverEngine:
                 state_after=new_state if self._tree is not None else None,
             )
         )
-        return new_state
 
     def evaluate_gain(self, edge: Edge) -> int:
         """Trussness gain of anchoring ``edge`` on top of the current state.

@@ -39,11 +39,18 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph.graph import Edge
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
+
+
+#: The dense-id candidate restriction: either a set of dense edge ids, or a
+#: membership pair ``(node_of_eid, node_ids)`` admitting ``eid`` when
+#: ``node_of_eid[eid] in node_ids`` (GAS passes the component tree's
+#: ``node_of_eid`` and the tree-node ids it needs recomputed).
+CandidateFilterIds = Union[AbstractSet[int], Tuple[Sequence[int], AbstractSet[int]]]
 
 
 class FollowerMethod(str, Enum):
@@ -142,19 +149,29 @@ def _expand_candidates(state: TrussState, seeds: Set[Edge]) -> Set[Edge]:
     return {edge_of[eid] for eid in _expand_candidate_ids(state, seed_ids)}
 
 
-def _resolve_filter_ids(
+def _resolve_filter(
     state: TrussState,
     candidate_filter: Optional[Set[Edge]],
-    candidate_filter_ids: Optional[Set[int]],
-) -> Optional[Set[int]]:
-    """Normalise the two filter spellings to a dense-id set (or ``None``)."""
+    candidate_filter_ids: Optional[CandidateFilterIds],
+) -> Optional[Tuple[Sequence[int], AbstractSet[int]]]:
+    """Normalise every filter spelling to one membership pair (or ``None``).
+
+    The result is ``(key_of, allowed)``: an edge id ``eid`` passes the filter
+    when ``key_of[eid] in allowed``.  A GAS membership pair
+    ``(tree.node_of_eid, needed)`` is used as is, so no union of node edge
+    sets is ever built; dense-id sets and edge-tuple sets map to the identity
+    key (``range``) over the id set.
+    """
     if candidate_filter_ids is not None:
-        return candidate_filter_ids
+        if isinstance(candidate_filter_ids, tuple):
+            return candidate_filter_ids
+        return range(state.index.num_edges), candidate_filter_ids
     if candidate_filter is None:
         return None
     eid_of = state.index.eid_of
     graph = state.graph
-    return {eid_of[graph.require_edge(e)] for e in candidate_filter}
+    allowed = {eid_of[graph.require_edge(e)] for e in candidate_filter}
+    return range(state.index.num_edges), allowed
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +181,7 @@ def followers_candidate_peel(
     state: TrussState,
     anchor: Edge,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_filter_ids: Optional[CandidateFilterIds] = None,
 ) -> Set[Edge]:
     """Followers of ``anchor`` via candidate restriction + per-level peeling.
 
@@ -175,9 +192,10 @@ def followers_candidate_peel(
     trussness ``>= k + 1``, or another member of ``S``.  The maximal such set
     is computed by iterative peeling.
 
-    ``candidate_filter`` (edge tuples) or ``candidate_filter_ids`` (dense
-    edge ids, the hot-path spelling used by GAS) optionally restricts the
-    considered candidates to selected tree nodes.
+    ``candidate_filter`` (edge tuples) or ``candidate_filter_ids`` (a
+    dense-id set, or the ``(node_of_eid, node_ids)`` membership pair GAS
+    passes) optionally restricts the seeds and the expanded candidates to
+    selected tree nodes.
     """
     anchor = state.graph.require_edge(anchor)
     if state.is_anchor(anchor):
@@ -185,14 +203,15 @@ def followers_candidate_peel(
 
     index, trussness, _layer, _anchor_mask = state.kernel_views()
     anchor_id = index.eid_of[anchor]
-    filter_ids = _resolve_filter_ids(state, candidate_filter, candidate_filter_ids)
+    member = _resolve_filter(state, candidate_filter, candidate_filter_ids)
 
     seeds = _initial_candidate_ids(state, anchor_id, strict=False)
-    if filter_ids is not None:
-        seeds &= filter_ids
+    if member is not None:
+        key_of, allowed = member
+        seeds = {eid for eid in seeds if key_of[eid] in allowed}
     candidates = _expand_candidate_ids(state, seeds)
-    if filter_ids is not None:
-        candidates &= filter_ids
+    if member is not None:
+        candidates = {eid for eid in candidates if key_of[eid] in allowed}
     candidates.discard(anchor_id)
 
     by_level: Dict[int, Set[int]] = {}
@@ -249,16 +268,11 @@ def _peel_level_ids(
 # ---------------------------------------------------------------------------
 # Method "support-check": the paper's Algorithm 3
 # ---------------------------------------------------------------------------
-_UNCHECKED = 0
-_SURVIVED = 1
-_ELIMINATED = 2
-
-
 def followers_support_check(
     state: TrussState,
     anchor: Edge,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_filter_ids: Optional[CandidateFilterIds] = None,
 ) -> Set[Edge]:
     """Followers of ``anchor`` via the paper's Algorithm 3 (GetFollowers).
 
@@ -270,13 +284,14 @@ def followers_support_check(
     support it had lent to previously surviving edges.
 
     ``candidate_filter`` / ``candidate_filter_ids`` restrict both the initial
-    pushes and the route expansion to the given edge set (used by GAS for
-    per-tree-node reuse).
+    pushes and the route expansion to the given edges (used by GAS for
+    per-tree-node reuse, as a ``(node_of_eid, node_ids)`` membership pair).
 
     Everything runs on dense edge ids: the heap holds ``(layer, eid)`` pairs
     (dense-id order equals public edge-id order, so the tie-breaking matches
-    the reference), the per-level status is a bytearray, and triangle queries
-    read the index's precomputed triple lists.
+    the reference), the per-level status lives in two small sets (survived,
+    eliminated) — nothing per call is sized by the graph — and triangle
+    queries read the index's precomputed triple lists.
     """
     anchor = state.graph.require_edge(anchor)
     if state.is_anchor(anchor):
@@ -285,21 +300,21 @@ def followers_support_check(
     index, trussness, layer, anchor_mask = state.kernel_views()
     edge_triangles = index.edge_triangles
     anchor_id = index.eid_of[anchor]
-    filter_ids = _resolve_filter_ids(state, candidate_filter, candidate_filter_ids)
+    member = _resolve_filter(state, candidate_filter, candidate_filter_ids)
 
     initial = _initial_candidate_ids(state, anchor_id, strict=True)
-    if filter_ids is not None:
-        initial &= filter_ids
+    if member is not None:
+        key_of, allowed = member
+        initial = {eid for eid in initial if key_of[eid] in allowed}
     if not initial:
         # Common on sparse graphs (no qualifying neighbour-edges): skip the
-        # per-call overlay allocations entirely.
+        # per-call heap setup entirely.
         return set()
 
     heaps: Dict[int, List[Tuple[float, int]]] = {}
-    pushed = bytearray(index.num_edges)
     for eid in initial:
         heaps.setdefault(int(trussness[eid]), []).append((layer[eid], eid))
-        pushed[eid] = 1
+    pushed: Set[int] = set(initial)
 
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -309,8 +324,8 @@ def followers_support_check(
     for level in sorted(heaps):
         heap = heaps[level]
         heapq.heapify(heap)
-        status = bytearray(index.num_edges)
         survived: Set[int] = set()
+        eliminated: Set[int] = set()
         needed = level - 1
 
         def effective_triangles(eid: int) -> int:
@@ -319,27 +334,21 @@ def followers_support_check(
             l_edge = layer[eid]
             for e1, e2, _w in edge_triangles[eid]:
                 # Inlined effectiveness(eid, other) for both triangle edges:
-                # the anchor and anchored edges always help; eliminated or
-                # lower-trussness edges never do; surviving edges help; an
-                # unchecked edge helps when the deletion order eid ≺ other
-                # holds (Definition 8).
-                if e1 != anchor_id and not anchor_mask[e1]:
-                    s1 = status[e1]
-                    if s1 == _ELIMINATED:
+                # the anchor, anchored edges and surviving edges always help;
+                # eliminated or lower-trussness edges never do; an unchecked
+                # edge helps when the deletion order eid ≺ other holds
+                # (Definition 8).
+                if e1 != anchor_id and not anchor_mask[e1] and e1 not in survived:
+                    if e1 in eliminated:
                         continue
                     t1 = trussness[e1]
-                    if t1 < level:
+                    if t1 < level or (t1 == level and layer[e1] < l_edge):
                         continue
-                    if s1 != _SURVIVED and t1 == level and layer[e1] < l_edge:
-                        continue
-                if e2 != anchor_id and not anchor_mask[e2]:
-                    s2 = status[e2]
-                    if s2 == _ELIMINATED:
+                if e2 != anchor_id and not anchor_mask[e2] and e2 not in survived:
+                    if e2 in eliminated:
                         continue
                     t2 = trussness[e2]
-                    if t2 < level:
-                        continue
-                    if s2 != _SURVIVED and t2 == level and layer[e2] < l_edge:
+                    if t2 < level or (t2 == level and layer[e2] < l_edge):
                         continue
                 count += 1
             return count
@@ -351,30 +360,29 @@ def followers_support_check(
                 lost = stack.pop()
                 for e1, e2, _w in edge_triangles[lost]:
                     for neighbour in (e1, e2):
-                        if status[neighbour] == _SURVIVED:
+                        if neighbour in survived:
                             if effective_triangles(neighbour) < needed:
-                                status[neighbour] = _ELIMINATED
                                 survived.discard(neighbour)
+                                eliminated.add(neighbour)
                                 stack.append(neighbour)
 
         while heap:
             l_edge, eid = heappop(heap)
-            if status[eid]:
+            if eid in survived or eid in eliminated:
                 continue
             if effective_triangles(eid) >= needed:
-                status[eid] = _SURVIVED
                 survived.add(eid)
                 for e1, e2, _w in edge_triangles[eid]:
                     for neighbour in (e1, e2):
-                        if pushed[neighbour] or anchor_mask[neighbour]:
+                        if neighbour in pushed or anchor_mask[neighbour]:
                             continue
-                        if filter_ids is not None and neighbour not in filter_ids:
+                        if member is not None and key_of[neighbour] not in allowed:
                             continue
                         if trussness[neighbour] == level and layer[neighbour] >= l_edge:
                             heappush(heap, (layer[neighbour], neighbour))
-                            pushed[neighbour] = 1
+                            pushed.add(neighbour)
             else:
-                status[eid] = _ELIMINATED
+                eliminated.add(eid)
                 retract(eid)
 
         followers_ids.extend(survived)
@@ -391,7 +399,7 @@ def compute_followers(
     anchor: Edge,
     method: FollowerMethod | str = FollowerMethod.SUPPORT_CHECK,
     candidate_filter: Optional[Set[Edge]] = None,
-    candidate_filter_ids: Optional[Set[int]] = None,
+    candidate_filter_ids: Optional[CandidateFilterIds] = None,
 ) -> Set[Edge]:
     """Compute ``F(anchor, G_A)`` with the selected method.
 
@@ -407,8 +415,11 @@ def compute_followers(
         Optional restriction of the candidate edges (tree-node reuse); not
         supported by the ``recompute`` method.
     candidate_filter_ids:
-        The same restriction spelled in dense edge ids (takes precedence;
-        used by the GAS hot loop to avoid tuple conversions).
+        The same restriction in the dense-id domain (takes precedence):
+        a set of dense edge ids, or a membership pair
+        ``(node_of_eid, node_ids)`` admitting an edge when its tree node is
+        in ``node_ids``.  The GAS hot loop passes the pair, so it never
+        materialises the union of the needed nodes' edge sets.
     """
     method = FollowerMethod(method)
     if method is FollowerMethod.RECOMPUTE:

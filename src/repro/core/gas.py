@@ -10,7 +10,7 @@ sets from scratch in every round:
    :mod:`repro.core.reuse` decides which cached entries are still valid;
 3. in the next round only the invalidated entries are recomputed, and the
    recomputation is restricted to the affected tree nodes (the
-   ``candidate_filter`` argument of the follower search).
+   ``(node_of_eid, node_ids)`` membership filter of the follower search).
 
 Because the reuse rule is conservative, GAS selects exactly the same anchors
 as BASE+ and BASE (under the shared smallest-edge-id tie-breaking); the
@@ -145,11 +145,11 @@ def _refresh_entry(
     recomputed = False
     if needed:
         recomputed = True
-        candidate_filter_ids: Set[int] = set()
-        for node_id in needed:
-            candidate_filter_ids |= tree.nodes[node_id].edge_ids
+        # Membership filter: the follower search tests each edge's tree node
+        # against ``needed`` instead of a union of the nodes' edge sets.
         followers = compute_followers(
-            state, edge, method=method, candidate_filter_ids=candidate_filter_ids
+            state, edge, method=method,
+            candidate_filter_ids=(tree.node_of_eid, needed),
         )
         buckets: Dict[int, Set[Edge]] = {node_id: set() for node_id in needed}
         for follower in followers:
@@ -285,8 +285,8 @@ def _solve_gas(engine: SolverEngine, request: SolveSpec) -> AnchorResult:
             best_eid, best_count = _pop_best(heap, score_of)
         else:
             # Full pass: the first round, the forced "scan" strategy, and
-            # heap rounds right after a from-scratch tree rebuild (no dirty
-            # closure available).
+            # heap rounds right after a from-scratch tree rebuild
+            # (tree_mode="rebuild": no dirty closure available).
             best_eid = -1
             best_count = -1
             for eid in range(index.num_edges):

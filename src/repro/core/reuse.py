@@ -53,7 +53,7 @@ class ReuseInvalidation:
     candidate is guaranteed fully reusable with an unchanged gain, so the
     GAS candidate heap re-examines only the dirty ones.  ``dirty_eids is
     None`` means the information is unavailable (the tree was rebuilt from
-    scratch, e.g. after a full-peel fallback) and every candidate must be
+    scratch, i.e. ``tree_mode="rebuild"``) and every candidate must be
     re-examined, with ``decision`` still exact.
     """
 

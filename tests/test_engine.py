@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.component_tree import TrussComponentTree
 from repro.core.engine import (
     SolverEngine,
     available_solvers,
@@ -32,6 +33,7 @@ from repro.graph.generators import paper_figure1_graph
 from repro.truss.decomposition import truss_decomposition
 from repro.truss.state import TrussState
 from repro.utils.errors import InvalidParameterError
+from repro.world.invariants import tree_signature
 
 from tests.conftest import anchor_schedule, random_test_graph
 
@@ -189,7 +191,12 @@ class TestIncrementalRePeeling:
         tree_a = engine.tree()
         assert engine.tree() is tree_a
         engine.commit_anchor(fig3_graph.edge_list()[0])
-        assert engine.tree() is not tree_a
+        tree_b = engine.tree()
+        # The committed state's tree is exact (patched or not) and cached.
+        assert tree_signature(tree_b) == tree_signature(
+            TrussComponentTree.build(engine.state)
+        )
+        assert engine.tree() is tree_b
 
 
 class TestSolverEquivalence:

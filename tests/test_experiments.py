@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablation import render_ablation, run_ablation
+from repro.experiments.ablation import render_ablation
 from repro.experiments.config import PROFILES, get_profile
 from repro.experiments.fig5_exact import render_fig5, run_fig5
 from repro.experiments.fig6_effectiveness import render_fig6, run_fig6
@@ -204,8 +204,8 @@ class TestFig11(object):
 
 @pytest.mark.slow
 class TestAblation(object):
-    def test_all_variants_agree_on_gain(self, profile):
-        result = run_ablation(profile)
+    def test_all_variants_agree_on_gain(self, profile, ablation_for):
+        result = ablation_for(profile)
         gains = {row["gain"] for row in result["rows"] if "small" not in row["variant"]}
         assert len(gains) == 1
         assert "Ablation" in render_ablation(result)

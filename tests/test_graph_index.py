@@ -225,22 +225,46 @@ class TestFollowerEquivalence:
             assert followers_support_check(state, anchor) == truth
             assert followers_support_check_reference(state, anchor) == truth
 
-    def test_candidate_filter_ids_matches_tuple_filter(self, fig3_state):
-        tree = TrussComponentTree.build(fig3_state)
-        index = fig3_state.index
-        for node in tree.nodes.values():
-            tuple_result = followers_support_check(
-                fig3_state, (9, 10), candidate_filter=set(node.edges)
-            )
-            id_result = followers_support_check(
-                fig3_state, (9, 10), candidate_filter_ids=set(node.edge_ids)
-            )
-            assert tuple_result == id_result
-            reference = followers_support_check_reference(
-                fig3_state, (9, 10), candidate_filter=set(node.edges)
-            )
-            assert tuple_result == reference
-            assert index.eid_of  # sanity: index shared
+    @pytest.mark.parametrize(
+        "local_followers, reference",
+        [
+            (followers_support_check, followers_support_check_reference),
+            (followers_candidate_peel, followers_candidate_peel_reference),
+        ],
+        ids=["support-check", "peel"],
+    )
+    def test_membership_filter_matches_tuple_filter(
+        self, fig3_state, local_followers, reference
+    ):
+        """Per tree node, the GAS ``(node_of_eid, node_ids)`` membership
+        filter, the dense-id set and the edge-tuple filter agree with each
+        other and with the seed implementation's tuple filter."""
+        plc_state = TrussState.compute(powerlaw_cluster_graph(60, 4, 0.6, seed=3))
+        kept = cut = 0
+        for state in (fig3_state, plc_state):
+            tree = TrussComponentTree.build(state)
+            node_of_eid = tree.node_of_eid
+            for anchor in state.non_anchor_edges():
+                unfiltered = local_followers(state, anchor)
+                for node in tree.nodes.values():
+                    tuple_result = local_followers(
+                        state, anchor, candidate_filter=set(node.edges)
+                    )
+                    member_result = local_followers(
+                        state, anchor,
+                        candidate_filter_ids=(node_of_eid, {node.node_id}),
+                    )
+                    id_result = local_followers(
+                        state, anchor, candidate_filter_ids=set(node.edge_ids)
+                    )
+                    assert member_result == tuple_result == id_result
+                    assert tuple_result == reference(
+                        state, anchor, candidate_filter=set(node.edges)
+                    )
+                    kept += bool(member_result)
+                    cut += bool(unfiltered) and not member_result
+        # The filter both admits and excludes real followers.
+        assert kept and cut
 
 
 def _tree_shape(tree: TrussComponentTree):

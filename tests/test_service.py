@@ -260,8 +260,16 @@ class TestSolveService:
             first = service.solve(a)
             second = service.solve(b)
             assert service.sessions.stats()["size"] == 2
-        # different engine modes, identical results
-        assert canonical_json(first.result) == canonical_json(second.result)
+        # different engine modes, identical results except the engine's own
+        # tree counters: patch mode never rebuilds more than rebuild mode
+        patch_engine = first.result["extra"]["engine"]
+        rebuild_engine = second.result["extra"]["engine"]
+        assert patch_engine["tree_rebuilds"] <= rebuild_engine["tree_rebuilds"]
+        patch_canonical = canonical_result(first.result)
+        rebuild_canonical = canonical_result(second.result)
+        del patch_canonical["extra"]["engine"]
+        del rebuild_canonical["extra"]["engine"]
+        assert patch_canonical == rebuild_canonical
 
     def test_errors_become_responses(self):
         graph = small_graph(9)

@@ -188,6 +188,61 @@ class TestTreePatchEdgeCases:
         assert non_anchor_dirty == set()
 
 
+#: random_test_graph(seed + 15000, 12, 24) seeds whose default-threshold
+#: runs (a 6-commit schedule and GAS b=4) both hit the full-peel fallback.
+FULL_PEEL_SEEDS = (0, 1, 2, 3, 5, 6)
+
+
+def _full_peel_graph(seed: int) -> Graph:
+    return random_test_graph(seed + 15000, min_n=12, max_n=24)
+
+
+class TestFullPeelPatch:
+    """A full-peel fallback records a CommitDelta diffed from the dense
+    arrays: the tree is patched after it (never rebuilt) and GAS keeps the
+    heap path, with results identical to every reference mode."""
+
+    @pytest.mark.parametrize("seed", FULL_PEEL_SEEDS)
+    def test_tree_patched_after_full_peels(self, seed):
+        graph = _full_peel_graph(seed)
+        engine = SolverEngine(graph)
+        incremental = SolverEngine(graph, full_peel_threshold=ALWAYS_INCREMENTAL)
+        engine.tree()
+        for i, edge in enumerate(anchor_schedule(graph, seed, length=6)):
+            engine.commit_anchor(edge)
+            incremental.commit_anchor(edge)
+            assert tree_signature(engine.tree()) == tree_signature(
+                TrussComponentTree.build(engine.state)
+            )
+            invalidation = engine.take_reuse_decision(edge, set())
+            assert invalidation is not None and invalidation.dirty_eids is not None
+            # The diffed delta equals the one the incremental re-peel records.
+            incremental.state
+            got, want = engine._deltas[i], incremental._deltas[i]
+            assert got.anchor_eid == want.anchor_eid
+            assert got.follower_eids == want.follower_eids
+            assert got.changed_eids == want.changed_eids
+        assert engine.stats["full_peels"] > 0
+        assert engine.stats["tree_rebuilds"] == 1
+
+    @pytest.mark.parametrize("seed", FULL_PEEL_SEEDS)
+    def test_gas_identical_across_modes(self, seed):
+        graph = _full_peel_graph(seed)
+        spec = get_solver("gas")
+        heap = spec(graph, 4)
+        assert heap.extra["engine"]["full_peels"] > 0
+        assert heap.extra["engine"]["tree_rebuilds"] == 1
+        for kwargs in ({"candidates": "scan"}, {"tree_mode": "rebuild"}):
+            run = spec(graph, 4, **kwargs)
+            assert run.anchors == heap.anchors
+            assert run.per_round_gain == heap.per_round_gain
+            assert run.extra["reuse_stats"] == heap.extra["reuse_stats"]
+            assert (
+                run.extra["recomputed_entries_per_round"]
+                == heap.extra["recomputed_entries_per_round"]
+            )
+
+
 class TestAssembledDecision:
     """The patch-assembled reuse decision equals the before/after tree diff."""
 
